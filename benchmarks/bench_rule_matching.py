@@ -3,9 +3,10 @@
 Times the exact batch-classification work a month-pair experiment does
 -- TP/FP evaluation over the labeled February test set plus decisions
 for February's unknown files, using January's selected rules -- once on
-the scalar reference path (``fast=False``: per-instance ``classify``
-loops) and once on the columnar fast path (``fast`` auto: interned
-codes, compiled masks, row dedup; see :mod:`repro.core.columnar`).
+the scalar reference path (``evaluate_scalar`` and per-instance
+``classify`` loops) and once on the columnar fast path (``evaluate`` /
+``classify_batch``: interned codes, compiled masks, row dedup; see
+:mod:`repro.core.columnar`).
 
 Both paths must produce identical decisions (asserted here; the full
 property suite lives in ``tests/core/test_columnar.py``); the payoff is
@@ -63,7 +64,7 @@ def test_rule_matching_speedup(session):
     )
     unknown_rows = [vector.values for vector in unknowns.values()]
 
-    scalar = RuleBasedClassifier(selected, ConflictPolicy.REJECT, fast=False)
+    scalar = RuleBasedClassifier(selected, ConflictPolicy.REJECT)
     fast = RuleBasedClassifier(selected, ConflictPolicy.REJECT)
 
     def run_scalar():

@@ -1,16 +1,15 @@
-"""The shared columnar session frame powering every table/figure analysis.
+"""The shared columnar session frame behind every table/figure analysis.
 
 The paper's evaluation is ~30 tables and figures over 3M download
-events; the scalar analysis modules each re-walk
-``labeled.dataset.events`` as Python objects, which caps the scale the
-full reproduction can reach on one box.  This module generalizes the
-columnar bet of :mod:`repro.core.columnar` (which interned the eight
-Table XV rule features) to the *whole* analysis layer:
+events.  Walking ``labeled.dataset.events`` as Python objects once per
+analysis caps the scale the full reproduction can reach on one box, so
+the whole analysis layer runs on one int-coded frame instead:
 
-* a :class:`Vocabulary` interns every categorical identifier -- file /
+* a :class:`~repro.core.columnar.Vocabulary` (the same interner the
+  rule engine's :class:`~repro.core.columnar.FeatureCodec` uses per
+  feature column) interns every categorical identifier -- file /
   machine / process / URL hashes, effective 2LDs, signers, packers,
-  families, executable names -- into dense integer codes with the same
-  ``str()`` semantics as :class:`repro.core.columnar.FeatureCodec`;
+  families, executable names -- into dense integer codes;
 * a :class:`SessionFrame` holds one int-coded column per event field
   (file, machine, process, URL, domain, month, timestamp) plus
   per-entity side tables (file label/type/family/signer/packer/size/
@@ -29,15 +28,13 @@ Table XV rule features) to the *whole* analysis layer:
   ``analysis.frame_hits`` counter make the "built exactly once per
   session" property observable (and CI-checkable).
 
-The scalar analysis implementations remain the reference semantics;
+The meaning of every analysis is pinned by a naive object-walking
+reference in ``tests/analysis/oracle.py``;
 ``tests/analysis/test_frame_equivalence.py`` proves output-for-output
-equality for every analysis module, and each public analysis function
-exposes a ``fast=`` knob (None = auto) mirroring
-:class:`repro.core.classifier.RuleBasedClassifier`.
+equality against it.
 
 Timestamps stay ``float64`` (int64-wide): the day-based event clock is
-fractional, and the Figure 5 fidelity targets require bit-exact deltas
-against the scalar path.
+fractional, and the Figure 5 fidelity targets require bit-exact deltas.
 """
 
 from __future__ import annotations
@@ -45,6 +42,9 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from ..core.columnar import Vocabulary
 from ..labeling.labels import (
     Browser,
     FileLabel,
@@ -64,14 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..labeling.ground_truth import LabeledDataset
     from ..labeling.whitelists import AlexaService
     from ..telemetry.events import DownloadEvent, FileRecord, ProcessRecord
-
-try:  # numpy is a de-facto hard dependency, but the scalar analysis
-    # paths keep working without it (fast=None then resolves to scalar).
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
 
 #: Default ingestion chunk: ~64k events of int codes is a few MB.
 DEFAULT_CHUNK_ROWS = 65_536
@@ -103,62 +95,6 @@ FAMILY_NONE = -2
 ALEXA_BUCKET_UNRANKED = 4
 
 _MISSING = object()
-
-
-class Vocabulary:
-    """Interns one categorical column's values into dense integer codes.
-
-    The single-column generalization of
-    :class:`repro.core.columnar.FeatureCodec`: values are compared and
-    stored by their ``str()`` form, codes are assigned in first-seen
-    order (which makes them deterministic for a deterministic event
-    stream), and :attr:`version` bumps whenever the vocabulary grows --
-    the same contract compiled rule masks rely on.
-    """
-
-    __slots__ = ("_codes", "_values", "_version")
-
-    def __init__(self) -> None:
-        self._codes: Dict[str, int] = {}
-        self._values: List[str] = []
-        self._version = 0
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def version(self) -> int:
-        """Bumped every time the vocabulary grows."""
-        return self._version
-
-    @property
-    def values(self) -> Sequence[str]:
-        """All interned values, in code order (do not mutate)."""
-        return self._values
-
-    def intern(self, value: object) -> int:
-        """The code of ``value``, interning it if never seen."""
-        text = str(value)
-        code = self._codes.get(text)
-        if code is None:
-            code = len(self._values)
-            self._codes[text] = code
-            self._values.append(text)
-            self._version += 1
-        return code
-
-    def code_of(self, value: object) -> Optional[int]:
-        """The code of one value, or ``None`` if never interned."""
-        return self._codes.get(str(value))
-
-    def value_of(self, code: int) -> str:
-        """The interned value behind one code (IndexError if unseen)."""
-        return self._values[code]
-
-    def decode(self, codes: Iterable[int]) -> List[str]:
-        """Decode a sequence of codes back into their string values."""
-        values = self._values
-        return [values[code] for code in codes]
 
 
 @dataclasses.dataclass
@@ -326,7 +262,7 @@ class SessionFrame:
         total = 0
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if np is not None and isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 total += value.nbytes
         return total
 
@@ -581,8 +517,6 @@ def build_frame(
     the ``alexa_bin`` rule feature); it can also be attached later via
     :meth:`SessionFrame.attach_alexa`.
     """
-    if np is None:
-        raise RuntimeError("SessionFrame requires numpy")
     if chunk_rows <= 0:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
     builder = _FrameBuilder(chunk_rows)
@@ -642,8 +576,6 @@ def session_frame(
     rank lookup per distinct domain, no event rescan) when a caller
     needs them.
     """
-    if np is None:
-        raise RuntimeError("SessionFrame requires numpy")
     key = labeled.content_digest()
     frame = _FRAME_CACHE.get(key)
     if frame is not None:
@@ -679,7 +611,7 @@ def clear_frame_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# Group-by helpers shared by the fast analysis paths
+# Group-by helpers shared by the analyses
 # ----------------------------------------------------------------------
 
 

@@ -12,12 +12,13 @@ Two execution paths produce identical decisions:
   every rule per instance;
 * the **columnar fast path** (:mod:`repro.core.columnar`) -- used
   automatically by :meth:`RuleBasedClassifier.classify_batch` and
-  :meth:`RuleBasedClassifier.evaluate` when numpy is available and every
-  condition is a categorical equality: feature values are interned to
-  integer codes, rules compile to per-feature allowed-code masks, and
-  identical feature tuples are deduplicated (``np.unique``) so each
-  distinct tuple is resolved once.  ``fast=False`` forces the scalar
-  path (the equivalence tests compare the two).
+  :meth:`RuleBasedClassifier.evaluate` whenever every condition is a
+  categorical equality and the rows match the codec's width: feature
+  values are interned to integer codes, rules compile to per-feature
+  allowed-code masks, and identical feature tuples are deduplicated
+  (``np.unique``) so each distinct tuple is resolved once.  Other rule
+  sets and rows take the scalar walk (:meth:`RuleBasedClassifier
+  .evaluate_scalar` pins it for the equivalence tests).
 """
 
 from __future__ import annotations
@@ -129,24 +130,20 @@ _LABEL_FROM_CODE = {
 class RuleBasedClassifier:
     """Applies a selected rule set with a conflict policy.
 
-    ``fast`` selects the execution path for batch entry points: ``None``
-    (default) auto-detects -- columnar when numpy is importable and the
-    rules are categorical-equality only, scalar otherwise; ``False``
-    forces the scalar reference path.  Both paths are decision-for-
-    decision identical (property-tested).  The rule set is snapshotted
-    by the fast path on first batch call; mutating ``rules`` afterwards
-    requires a fresh classifier.
+    Batch entry points take the columnar path when the rules are
+    categorical-equality only, the scalar walk otherwise; both are
+    decision-for-decision identical (property-tested).  The rule set is
+    snapshotted by the columnar path on first batch call; mutating
+    ``rules`` afterwards requires a fresh classifier.
     """
 
     def __init__(
         self,
         rules: RuleSet,
         policy: ConflictPolicy = ConflictPolicy.REJECT,
-        fast: Optional[bool] = None,
     ) -> None:
         self.rules = rules
         self.policy = policy
-        self._fast = fast
         self._evaluator: Optional[columnar.ColumnarRuleEvaluator] = None
 
     def classify(self, values: Sequence) -> Decision:
@@ -181,8 +178,6 @@ class RuleBasedClassifier:
         self, rows: Sequence[Sequence]
     ) -> Optional[columnar.MatchedBatch]:
         """Columnar match for a batch, or ``None`` -> scalar fallback."""
-        if self._fast is False or not columnar.HAVE_NUMPY:
-            return None
         if self._evaluator is None:
             self._evaluator = columnar.ColumnarRuleEvaluator(self.rules.rules)
         return self._evaluator.match_rows(rows)
@@ -247,7 +242,7 @@ class RuleBasedClassifier:
         """The scalar reference evaluation (no counters, no fast path).
 
         Kept public so equivalence tests and benchmarks can pin the
-        baseline regardless of the ``fast`` setting.
+        scalar baseline for any rule set.
         """
         return self._evaluate(instances)
 

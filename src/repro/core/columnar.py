@@ -1,4 +1,4 @@
-"""Columnar rule-evaluation fast path: codes, masks, and row dedup.
+"""Columnar rule evaluation: codes, masks, and row dedup.
 
 The paper's classifier (Section VI-D) applies a few hundred conjunctive
 rules over eight *low-cardinality categorical* features.  The scalar
@@ -7,11 +7,13 @@ reference implementation (:meth:`repro.core.classifier.RuleBasedClassifier
 conditions)` Python-level string comparisons.  This module turns that
 batch-scoring hot loop into a handful of NumPy broadcasts:
 
-1. **Interning** -- a :class:`FeatureCodec` maps each feature column's
-   string values to dense integer codes, so a batch of feature tuples
-   becomes an ``(n, width)`` int32 code matrix.  Values are compared by
-   their ``str()`` form, exactly matching the scalar
-   ``Condition.matches`` semantics.
+1. **Interning** -- a :class:`Vocabulary` maps one column's values to
+   dense integer codes; a :class:`FeatureCodec` keeps one per feature
+   column, so a batch of feature tuples becomes an ``(n, width)`` int32
+   code matrix.  Values are compared by their ``str()`` form, exactly
+   matching the scalar ``Condition.matches`` semantics.
+   :class:`Vocabulary` is also the interner behind every column of the
+   analysis layer's :class:`~repro.analysis.frame.SessionFrame`.
 2. **Compiled rule masks** -- each rule becomes per-feature boolean
    "allowed code" masks (:func:`compile_rules`); matching all rules
    against all rows is ``mask[:, codes[:, a]]`` gathers AND-ed across
@@ -32,18 +34,12 @@ decision-for-decision, count-for-count equivalence under every
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .dataset import AttributeKind, MALICIOUS_CLASS
 from .rules import Rule
-
-try:  # numpy is a de-facto hard dependency (the synth engine needs it),
-    # but the scalar path keeps working without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
 
 #: Label codes produced by :func:`resolve_matches`.
 LABEL_NONE = -1
@@ -51,22 +47,72 @@ LABEL_BENIGN = 0
 LABEL_MALICIOUS = 1
 
 
-class FeatureCodec:
-    """Interns categorical feature values into dense integer codes.
+class Vocabulary:
+    """Interns one categorical column's values into dense integer codes.
 
-    One growing vocabulary per feature column.  Encoding a batch interns
-    any previously unseen value, so the codec never rejects a row; the
-    ``version`` counter bumps whenever a vocabulary grows, which tells
-    compiled rule masks (sized to the vocabularies at compile time) to
-    re-materialize.
+    Values are compared and stored by their ``str()`` form, codes are
+    assigned in first-seen order (which makes them deterministic for a
+    deterministic input stream), and :attr:`version` bumps whenever the
+    vocabulary grows -- the signal compiled rule masks rely on.
+    """
+
+    __slots__ = ("_codes", "_values")
+
+    def __init__(self) -> None:
+        self._codes: Dict[str, int] = {}
+        self._values: List[str] = []
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    @property
+    def version(self) -> int:
+        """Bumped every time the vocabulary grows (codes are never freed)."""
+        return len(self._values)
+
+    @property
+    def values(self) -> Sequence[str]:
+        """All interned values, in code order (do not mutate)."""
+        return self._values
+
+    def intern(self, value: object) -> int:
+        """The code of ``value``, interning it if never seen."""
+        text = str(value)
+        code = self._codes.get(text)
+        if code is None:
+            code = len(self._values)
+            self._codes[text] = code
+            self._values.append(text)
+        return code
+
+    def code_of(self, value: object) -> Optional[int]:
+        """The code of one value, or ``None`` if never interned."""
+        return self._codes.get(str(value))
+
+    def value_of(self, code: int) -> str:
+        """The interned value behind one code (IndexError if unseen)."""
+        return self._values[code]
+
+    def decode(self, codes: Iterable[int]) -> List[str]:
+        """Decode a sequence of codes back into their string values."""
+        values = self._values
+        return [values[code] for code in codes]
+
+
+class FeatureCodec:
+    """One :class:`Vocabulary` per feature column of a row batch.
+
+    Encoding a batch interns any previously unseen value, so the codec
+    never rejects a row; :attr:`version` grows whenever any vocabulary
+    does, which tells compiled rule masks (sized to the vocabularies at
+    compile time) to re-materialize.
     """
 
     def __init__(self, width: Optional[int] = None) -> None:
         self._width = width
-        self._vocabs: List[Dict[str, int]] = [
-            {} for _ in range(width or 0)
+        self._vocabs: List[Vocabulary] = [
+            Vocabulary() for _ in range(width or 0)
         ]
-        self._version = 0
 
     @property
     def width(self) -> Optional[int]:
@@ -75,8 +121,8 @@ class FeatureCodec:
 
     @property
     def version(self) -> int:
-        """Bumped every time any vocabulary grows."""
-        return self._version
+        """Grows every time any vocabulary grows."""
+        return sum(vocab.version for vocab in self._vocabs)
 
     def vocab_sizes(self) -> Tuple[int, ...]:
         """Current vocabulary size per feature column."""
@@ -89,7 +135,7 @@ class FeatureCodec:
         """
         if self._width is None or not 0 <= attribute < self._width:
             return None
-        return self._vocabs[attribute].get(str(value))
+        return self._vocabs[attribute].code_of(value)
 
     def encode_rows(self, rows: Sequence[Sequence]) -> "np.ndarray":
         """Intern a batch of feature tuples into an ``(n, width)`` matrix.
@@ -98,11 +144,9 @@ class FeatureCodec:
         (a :class:`ValueError` otherwise, which callers treat as "take
         the scalar path").
         """
-        if np is None:  # pragma: no cover - guarded by HAVE_NUMPY upstream
-            raise RuntimeError("FeatureCodec.encode_rows requires numpy")
         if self._width is None:
             self._width = len(rows[0]) if rows else 0
-            self._vocabs = [{} for _ in range(self._width)]
+            self._vocabs = [Vocabulary() for _ in range(self._width)]
         width = self._width
         if any(len(row) != width for row in rows):
             raise ValueError(
@@ -110,21 +154,13 @@ class FeatureCodec:
             )
         count = len(rows)
         codes = np.empty((count, width), dtype=np.int32)
-        grew = False
-        for attribute in range(width):
-            vocab = self._vocabs[attribute]
-            before = len(vocab)
+        for attribute, vocab in enumerate(self._vocabs):
+            intern = vocab.intern
             codes[:, attribute] = np.fromiter(
-                (
-                    vocab.setdefault(str(row[attribute]), len(vocab))
-                    for row in rows
-                ),
+                (intern(row[attribute]) for row in rows),
                 dtype=np.int32,
                 count=count,
             )
-            grew = grew or len(vocab) != before
-        if grew:
-            self._version += 1
         return codes
 
 
@@ -294,8 +330,6 @@ class ColumnarRuleEvaluator:
     """
 
     def __init__(self, rules: Sequence[Rule]) -> None:
-        if np is None:
-            raise RuntimeError("ColumnarRuleEvaluator requires numpy")
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self.codec = FeatureCodec()
         self._compiled: Optional[CompiledRuleMasks] = None

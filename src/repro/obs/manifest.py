@@ -47,15 +47,12 @@ def git_revision(cwd: Optional[Path] = None) -> Optional[str]:
 
 
 def _versions() -> Dict[str, str]:
+    import numpy
+
     versions = {
         "python": platform.python_version(),
+        "numpy": numpy.__version__,
     }
-    try:
-        import numpy
-
-        versions["numpy"] = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        pass
     try:
         from .. import __version__
 

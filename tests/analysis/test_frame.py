@@ -9,19 +9,19 @@ table.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.analysis import frame as frame_mod
 from repro.analysis.frame import (
     ABSENT,
     ALEXA_BUCKET_UNRANKED,
     FAMILY_NONE,
     SessionFrame,
-    Vocabulary,
     build_frame,
     clear_frame_cache,
     session_frame,
 )
+from repro.core.columnar import Vocabulary
 from repro.labeling.ground_truth import LabeledDataset
 from repro.labeling.labels import FileLabel, MalwareType, UrlLabel
 from repro.labeling.avtype import TypeExtraction
@@ -29,12 +29,6 @@ from repro.labeling.whitelists import AlexaService
 from repro.obs import metrics as obs_metrics
 from repro.telemetry.dataset import TelemetryDataset
 from repro.telemetry.events import DownloadEvent, FileRecord, ProcessRecord
-
-pytestmark = pytest.mark.skipif(
-    not frame_mod.HAVE_NUMPY, reason="SessionFrame requires numpy"
-)
-
-np = frame_mod.np
 
 
 def _empty_labeled() -> LabeledDataset:

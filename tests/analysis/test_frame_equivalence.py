@@ -1,13 +1,13 @@
-"""Scalar-vs-columnar equivalence for every analysis output.
+"""Oracle-vs-columnar equivalence for every analysis output.
 
-Each analysis function is run twice -- ``fast=False`` (the scalar
-reference implementation) and ``fast=True`` (the shared-frame columnar
-path) -- and the results must be *equal*, not just close: the fast
-paths replicate the scalar float expressions, median semantics and
-tie-breaking exactly.  Checked over the shared session fixtures and
-over randomized hand-built datasets that hit the corners the synthetic
-worlds do not (unlabeled table-only files, missing families, empty
-classes).
+Each analysis is run twice -- once through the scalar reference in
+:mod:`tests.analysis.oracle` and once through :mod:`repro.analysis` on
+the shared columnar frame -- and the results must be *equal*, not just
+close: the frame code replicates the reference float expressions,
+median semantics and tie-breaking exactly.  Checked over the shared
+session fixtures and over randomized hand-built datasets that hit the
+corners the synthetic worlds do not (unlabeled table-only files,
+missing families, empty classes).
 """
 
 from __future__ import annotations
@@ -30,62 +30,33 @@ from repro.telemetry.events import (
     ProcessRecord,
 )
 
-pytestmark = pytest.mark.skipif(
-    not frame_mod.HAVE_NUMPY, reason="SessionFrame requires numpy"
-)
+from . import oracle
 
-#: Every analysis function under equivalence test, as
-#: ``(name, callable(labeled, alexa, fast))`` pairs -- one entry per
-#: table/figure the reporting layer renders.
+#: Every analysis under equivalence test, one per table/figure the
+#: reporting layer renders.  ``alexa_rank_distribution`` also takes the
+#: Alexa service; the rest take only the labeled dataset.
 ANALYSES = [
-    ("monthly_summary",
-     lambda lab, alexa, fast: analysis.monthly_summary(lab, fast=fast)),
-    ("family_distribution",
-     lambda lab, alexa, fast: analysis.family_distribution(lab, fast=fast)),
-    ("type_breakdown",
-     lambda lab, alexa, fast: analysis.type_breakdown(lab, fast=fast)),
-    ("prevalence_report",
-     lambda lab, alexa, fast: analysis.prevalence_report(lab, fast=fast)),
-    ("domain_popularity",
-     lambda lab, alexa, fast: analysis.domain_popularity(lab, fast=fast)),
-    ("files_per_domain",
-     lambda lab, alexa, fast: analysis.files_per_domain(lab, fast=fast)),
-    ("domains_per_type",
-     lambda lab, alexa, fast: analysis.domains_per_type(lab, fast=fast)),
-    ("unknown_download_domains",
-     lambda lab, alexa, fast: analysis.unknown_download_domains(
-         lab, fast=fast)),
-    ("alexa_rank_distribution",
-     lambda lab, alexa, fast: analysis.alexa_rank_distribution(
-         lab, alexa, fast=fast)),
-    ("signed_percentages",
-     lambda lab, alexa, fast: analysis.signed_percentages(lab, fast=fast)),
-    ("signer_counts",
-     lambda lab, alexa, fast: analysis.signer_counts(lab, fast=fast)),
-    ("top_signers",
-     lambda lab, alexa, fast: analysis.top_signers(lab, fast=fast)),
-    ("exclusive_signers",
-     lambda lab, alexa, fast: analysis.exclusive_signers(lab, fast=fast)),
-    ("shared_signer_scatter",
-     lambda lab, alexa, fast: analysis.shared_signer_scatter(lab, fast=fast)),
-    ("packer_report",
-     lambda lab, alexa, fast: analysis.packer_report(lab, fast=fast)),
-    ("benign_process_behavior",
-     lambda lab, alexa, fast: analysis.benign_process_behavior(
-         lab, fast=fast)),
-    ("browser_behavior",
-     lambda lab, alexa, fast: analysis.browser_behavior(lab, fast=fast)),
-    ("malicious_process_behavior",
-     lambda lab, alexa, fast: analysis.malicious_process_behavior(
-         lab, fast=fast)),
-    ("unknown_download_processes",
-     lambda lab, alexa, fast: analysis.unknown_download_processes(
-         lab, fast=fast)),
-    ("infection_timing",
-     lambda lab, alexa, fast: analysis.infection_timing(lab, fast=fast)),
-    ("unknown_characteristics",
-     lambda lab, alexa, fast: analysis.unknown_characteristics(
-         lab, fast=fast)),
+    "monthly_summary",
+    "family_distribution",
+    "type_breakdown",
+    "prevalence_report",
+    "domain_popularity",
+    "files_per_domain",
+    "domains_per_type",
+    "unknown_download_domains",
+    "alexa_rank_distribution",
+    "signed_percentages",
+    "signer_counts",
+    "top_signers",
+    "exclusive_signers",
+    "shared_signer_scatter",
+    "packer_report",
+    "benign_process_behavior",
+    "browser_behavior",
+    "malicious_process_behavior",
+    "unknown_download_processes",
+    "infection_timing",
+    "unknown_characteristics",
 ]
 
 _PROCESS_NAMES = (
@@ -199,12 +170,13 @@ def random_labeled(seed: int, n_files: int = 60, n_machines: int = 20,
 def assert_equivalent(labeled, alexa):
     frame_mod.clear_frame_cache()
     failures = []
-    for name, call in ANALYSES:
-        scalar = call(labeled, alexa, False)
-        fast = call(labeled, alexa, True)
-        if scalar != fast:
+    for name in ANALYSES:
+        args = (labeled,)
+        if name == "alexa_rank_distribution":
+            args += (alexa,)
+        if getattr(oracle, name)(*args) != getattr(analysis, name)(*args):
             failures.append(name)
-    assert not failures, f"fast != scalar for: {', '.join(failures)}"
+    assert not failures, f"oracle != analysis for: {', '.join(failures)}"
 
 
 class TestSessionEquivalence:

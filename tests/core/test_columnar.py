@@ -142,7 +142,7 @@ class TestRandomizedEquivalence:
         rules = _random_rules(rng, rng.randint(1, 20))
         rows = _random_rows(rng, rng.randint(1, 120))
         fast = RuleBasedClassifier(rules, policy)
-        scalar = RuleBasedClassifier(rules, policy, fast=False)
+        scalar = RuleBasedClassifier(rules, policy)
         _assert_same_decisions(
             [scalar.classify(row) for row in rows],
             fast.classify_batch(rows),
@@ -244,7 +244,7 @@ class TestEdgeCases:
         rules = _random_rules(random.Random(6), 8)
         row = ("alpha", "beta", "gamma", "delta")
         fast = RuleBasedClassifier(rules)
-        scalar = RuleBasedClassifier(rules, fast=False)
+        scalar = RuleBasedClassifier(rules)
         _assert_same_decisions(
             [scalar.classify(row)], fast.classify_batch([row])
         )
@@ -270,7 +270,7 @@ class TestEdgeCases:
         # Same mid-session growth through the public classifier: the
         # second batch's decisions still equal the scalar path.
         fast = RuleBasedClassifier(rules)
-        scalar = RuleBasedClassifier(rules, fast=False)
+        scalar = RuleBasedClassifier(rules)
         _assert_same_decisions(
             [scalar.classify(row) for row in first_rows],
             fast.classify_batch(first_rows),
@@ -312,7 +312,7 @@ class TestRealDataEquivalence:
         )
         unknown_rows = [vector.values for vector in unknowns.values()]
         classifier = RuleBasedClassifier(selected, policy)
-        scalar = RuleBasedClassifier(selected, policy, fast=False)
+        scalar = RuleBasedClassifier(selected, policy)
         assert test_set.instances, "fixture must produce a test set"
         _assert_same_evaluation(
             classifier.evaluate_scalar(test_set.instances),
