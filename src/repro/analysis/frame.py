@@ -211,12 +211,10 @@ class SessionFrame:
 
     def active_process_mask(self) -> "np.ndarray":
         """Per-process bool: initiated at least one reported download."""
-        def build() -> "np.ndarray":
-            mask = np.zeros(self.n_processes, dtype=bool)
-            if self.n_events:
-                mask[np.unique(self.event_process)] = True
-            return mask
-        return self._gather("active_process_mask", build)
+        return self._gather(
+            "active_process_mask",
+            lambda: presence_mask(self.event_process, self.n_processes),
+        )
 
     def _gather(self, key: str, build) -> "np.ndarray":
         cache = self.__dict__.setdefault("_gathers", {})
@@ -304,7 +302,7 @@ class _FrameBuilder:
         self.domains = Vocabulary()
         # url code -> domain code, filled when a URL is first seen so the
         # (comparatively expensive) URL parse runs once per distinct URL.
-        self._url_domain: List[int] = []
+        self._url_domain = np.empty(0, dtype=np.int32)
         self._cols: Dict[str, List["np.ndarray"]] = {
             name: [] for name in
             ("file", "machine", "process", "url", "domain", "ts")
@@ -314,37 +312,33 @@ class _FrameBuilder:
         n = len(chunk)
         if not n:
             return
-        file_codes = np.empty(n, dtype=np.int32)
-        machine_codes = np.empty(n, dtype=np.int32)
-        process_codes = np.empty(n, dtype=np.int32)
-        url_codes = np.empty(n, dtype=np.int32)
-        domain_codes = np.empty(n, dtype=np.int32)
-        timestamps = np.empty(n, dtype=np.float64)
-        file_intern = self.files.intern
-        machine_intern = self.machines.intern
-        process_intern = self.processes.intern
-        url_intern = self.urls.intern
-        domain_intern = self.domains.intern
-        url_domain = self._url_domain
-        for i, event in enumerate(chunk):
-            file_codes[i] = file_intern(event.file_sha1)
-            machine_codes[i] = machine_intern(event.machine_id)
-            process_codes[i] = process_intern(event.process_sha1)
-            url = event.url
-            ucode = url_intern(url)
-            if ucode == len(url_domain):
-                url_domain.append(
-                    domain_intern(effective_2ld(domain_of_url(url)))
-                )
-            url_codes[i] = ucode
-            domain_codes[i] = url_domain[ucode]
-            timestamps[i] = event.timestamp
-        self._cols["file"].append(file_codes)
-        self._cols["machine"].append(machine_codes)
-        self._cols["process"].append(process_codes)
-        self._cols["url"].append(url_codes)
-        self._cols["domain"].append(domain_codes)
-        self._cols["ts"].append(timestamps)
+        new_from = len(self.urls)
+        url_codes = self.urls.encode([event.url for event in chunk], n)
+        # Domains are interned in the order their URLs first appear.
+        new_urls = self.urls.values[new_from:]
+        if new_urls:
+            self._url_domain = np.concatenate([
+                self._url_domain,
+                self.domains.encode(
+                    [effective_2ld(domain_of_url(url)) for url in new_urls],
+                    len(new_urls),
+                ),
+            ])
+        cols = self._cols
+        cols["file"].append(
+            self.files.encode([event.file_sha1 for event in chunk], n)
+        )
+        cols["machine"].append(
+            self.machines.encode([event.machine_id for event in chunk], n)
+        )
+        cols["process"].append(
+            self.processes.encode([event.process_sha1 for event in chunk], n)
+        )
+        cols["url"].append(url_codes)
+        cols["domain"].append(self._url_domain[url_codes])
+        cols["ts"].append(np.fromiter(
+            (event.timestamp for event in chunk), dtype=np.float64, count=n
+        ))
 
     def _column(self, name: str, dtype) -> "np.ndarray":
         parts = self._cols[name]
@@ -366,10 +360,8 @@ class _FrameBuilder:
     ) -> SessionFrame:
         # Cover table-only hashes (in sorted order, so in-memory and
         # store-streamed builds assign identical codes).
-        for sha in sorted(file_table):
-            self.files.intern(sha)
-        for sha in sorted(process_table):
-            self.processes.intern(sha)
+        self.files.encode(sorted(file_table))
+        self.processes.encode(sorted(process_table))
 
         event_file = self._column("file", np.int32)
         event_machine = self._column("machine", np.int32)
@@ -447,7 +439,7 @@ class _FrameBuilder:
             label = url_labels.get(url)
             if label is not None:
                 url_label[code] = URL_LABEL_CODE[label]
-        url_domain = np.asarray(self._url_domain, dtype=np.int32)
+        url_domain = self._url_domain
         if url_domain.shape[0] != n_urls:  # pragma: no cover - invariant
             raise AssertionError("url/domain mapping out of sync")
 
@@ -662,6 +654,16 @@ def counts_per_code(
     return np.bincount(codes, minlength=cardinality).astype(
         np.int64, copy=False
     )
+
+
+def presence_mask(codes: "np.ndarray", cardinality: int) -> "np.ndarray":
+    """Per-code bool over a vocabulary: the code occurs in ``codes``.
+
+    Negative codes (the ``ABSENT`` sentinel) mark no code.
+    """
+    mask = np.zeros(cardinality, dtype=bool)
+    mask[codes[codes >= 0]] = True
+    return mask
 
 
 def code_count_dict(

@@ -19,6 +19,7 @@ from .frame import (
     FILE_LABEL_CODE,
     MALWARE_TYPES,
     counts_per_code,
+    presence_mask,
     session_frame,
 )
 
@@ -53,9 +54,8 @@ def packer_report(labeled: LabeledDataset, top_n: int = 5) -> PackerReport:
         return 100.0 * int((mask & packed).sum()) / total
 
     def packer_names(mask) -> Set[str]:
-        codes = frame.file_packer[mask]
-        codes = codes[codes >= 0]
-        return {names[code] for code in np.unique(codes)}
+        present = presence_mask(frame.file_packer[mask], len(frame.packers))
+        return {names[code] for code in np.flatnonzero(present)}
 
     benign_mask = label_mask(FileLabel.BENIGN)
     malicious_mask = label_mask(FileLabel.MALICIOUS)

@@ -20,6 +20,7 @@ from .frame import (
     PROCESS_CATEGORY_CODE,
     SessionFrame,
     counts_per_code,
+    presence_mask,
     session_frame,
 )
 
@@ -30,10 +31,7 @@ def _browser_file_mask(frame: SessionFrame):
         frame.event_process_category()
         == PROCESS_CATEGORY_CODE[ProcessCategory.BROWSER]
     )
-    mask = np.zeros(frame.n_files, dtype=bool)
-    if frame.n_events:
-        mask[np.unique(frame.event_file[browser_events])] = True
-    return mask
+    return presence_mask(frame.event_file[browser_events], frame.n_files)
 
 
 def _file_label_mask(frame: SessionFrame, label: FileLabel):
@@ -42,16 +40,6 @@ def _file_label_mask(frame: SessionFrame, label: FileLabel):
 
 def _file_type_mask(frame: SessionFrame, mtype: MalwareType):
     return frame.file_type == MALWARE_TYPE_CODE[mtype]
-
-
-def _signer_set(frame: SessionFrame, file_mask):
-    """Bool mask over signer codes used by the masked files."""
-    mask = np.zeros(len(frame.signers), dtype=bool)
-    codes = frame.file_signer[file_mask]
-    codes = codes[codes >= 0]
-    if codes.shape[0]:
-        mask[np.unique(codes)] = True
-    return mask
 
 
 def _signer_counts(frame: SessionFrame, file_mask):
@@ -124,13 +112,17 @@ def signer_counts(
     ``None``-like (reported under "Total" by the renderer).
     """
     frame = session_frame(labeled)
-    benign_signers = _signer_set(
-        frame, _file_label_mask(frame, FileLabel.BENIGN)
+    n_signers = len(frame.signers)
+    benign_signers = presence_mask(
+        frame.file_signer[_file_label_mask(frame, FileLabel.BENIGN)],
+        n_signers,
     )
     rows = []
-    all_malicious = np.zeros(len(frame.signers), dtype=bool)
+    all_malicious = np.zeros(n_signers, dtype=bool)
     for mtype in MalwareType:
-        signers = _signer_set(frame, _file_type_mask(frame, mtype))
+        signers = presence_mask(
+            frame.file_signer[_file_type_mask(frame, mtype)], n_signers
+        )
         all_malicious |= signers
         rows.append(
             SignerCountRow(
@@ -173,8 +165,12 @@ def top_signers(labeled: LabeledDataset, n: int = 3) -> List[TopSignersRow]:
     frame = session_frame(labeled)
     benign_mask = _file_label_mask(frame, FileLabel.BENIGN)
     malicious_mask = _file_label_mask(frame, FileLabel.MALICIOUS)
-    benign_signers = _signer_set(frame, benign_mask)
-    malicious_signers = _signer_set(frame, malicious_mask)
+    benign_signers = presence_mask(
+        frame.file_signer[benign_mask], len(frame.signers)
+    )
+    malicious_signers = presence_mask(
+        frame.file_signer[malicious_mask], len(frame.signers)
+    )
     everyone = np.ones(len(frame.signers), dtype=bool)
 
     groups: List[Tuple[str, object]] = [

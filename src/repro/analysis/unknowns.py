@@ -17,7 +17,12 @@ import numpy as np
 
 from ..labeling.ground_truth import LabeledDataset
 from ..labeling.labels import FileLabel
-from .frame import FILE_LABEL_CODE, SessionFrame, session_frame
+from .frame import (
+    FILE_LABEL_CODE,
+    SessionFrame,
+    presence_mask,
+    session_frame,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,16 +95,12 @@ def unknown_characteristics(labeled: LabeledDataset) -> UnknownCharacteristics:
         label: _profile(frame, mask) for label, mask in masks.items()
     }
 
-    def signer_mask(file_mask):
-        seen = np.zeros(len(frame.signers), dtype=bool)
-        codes = frame.file_signer[file_mask]
-        codes = codes[codes >= 0]
-        if codes.shape[0]:
-            seen[np.unique(codes)] = True
-        return seen
-
-    benign_signers = signer_mask(masks[FileLabel.BENIGN])
-    malicious_signers = signer_mask(masks[FileLabel.MALICIOUS])
+    benign_signers = presence_mask(
+        frame.file_signer[masks[FileLabel.BENIGN]], len(frame.signers)
+    )
+    malicious_signers = presence_mask(
+        frame.file_signer[masks[FileLabel.MALICIOUS]], len(frame.signers)
+    )
     malicious_only = malicious_signers & ~benign_signers
     benign_only = benign_signers & ~malicious_signers
 

@@ -34,6 +34,7 @@ decision-for-decision, count-for-count equivalence under every
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,6 +86,24 @@ class Vocabulary:
             self._values.append(text)
         return code
 
+    def encode(self, values: Iterable[object], count: int = -1) -> "np.ndarray":
+        """Intern a whole column at once: its codes as an int32 array.
+
+        The codes are the ones :meth:`intern` would give value by value
+        (first-seen order); ``count`` is the column length when known.
+        """
+        codes = self._codes
+        setdefault = codes.setdefault
+        before = len(codes)
+        encoded = np.fromiter(
+            (setdefault(text, len(codes)) for text in map(str, values)),
+            dtype=np.int32,
+            count=count,
+        )
+        if len(codes) > before:
+            self._values.extend(itertools.islice(codes, before, None))
+        return encoded
+
     def code_of(self, value: object) -> Optional[int]:
         """The code of one value, or ``None`` if never interned."""
         return self._codes.get(str(value))
@@ -128,6 +147,10 @@ class FeatureCodec:
         """Current vocabulary size per feature column."""
         return tuple(len(vocab) for vocab in self._vocabs)
 
+    def vocabulary(self, attribute: int) -> Vocabulary:
+        """The interner of one feature column."""
+        return self._vocabs[attribute]
+
     def code_of(self, attribute: int, value: object) -> Optional[int]:
         """The interned code of one value, or ``None`` if never seen.
 
@@ -155,11 +178,8 @@ class FeatureCodec:
         count = len(rows)
         codes = np.empty((count, width), dtype=np.int32)
         for attribute, vocab in enumerate(self._vocabs):
-            intern = vocab.intern
-            codes[:, attribute] = np.fromiter(
-                (intern(row[attribute]) for row in rows),
-                dtype=np.int32,
-                count=count,
+            codes[:, attribute] = vocab.encode(
+                [row[attribute] for row in rows], count
             )
         return codes
 

@@ -7,6 +7,26 @@ average-gain pre-filter, and the pessimistic error estimate
 (Wilson-style upper confidence bound, the ``addErrs`` of C4.5) used for
 subtree replacement.
 
+Splits are chosen on an :class:`EncodedInstances` matrix, not on
+instance objects: every categorical attribute is interned once into
+int codes by :class:`~repro.core.columnar.FeatureCodec` (values compare
+by ``str()``, as ``Condition.matches`` does), the class becomes a 0/1
+vector, and a tree node is an array of row indices.  Per-branch class
+counts come from one ``np.bincount(code * 2 + class)`` per node and
+attribute.  The floating-point arithmetic is the textbook one, done in
+the same order as a value-by-value implementation would do it, so the
+chosen splits do not depend on the representation:
+
+* entropies use ``math.log2`` (memoized on the two class counts), never
+  ``np.log2``, which is not guaranteed bit-equal to libm;
+* the conditional entropy and the split information are summed over the
+  branches in the order the branches first occur in the node's rows;
+* numeric thresholds scan the value-sorted rows boundary by boundary.
+
+``tests/core/part_oracle.py`` keeps the instance-by-instance selector as
+the reference, and ``tests/core/test_part_equivalence.py`` holds the two
+to identical results.
+
 A standalone :class:`DecisionTree` classifier is exposed as well -- it is
 useful on its own and lets the test suite exercise the split/prune
 machinery independently of PART.
@@ -15,12 +35,22 @@ machinery independently of PART.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .dataset import AttributeKind, AttributeSpec, Instance
+import numpy as np
+
+from .columnar import FeatureCodec
+from .dataset import (
+    BENIGN_CLASS,
+    MALICIOUS_CLASS,
+    AttributeKind,
+    AttributeSpec,
+    Instance,
+)
 
 #: C4.5's default pruning confidence factor.
 DEFAULT_CF = 0.25
@@ -40,6 +70,29 @@ def entropy(counts: Counter) -> float:
             p = count / total
             result -= p * math.log2(p)
     return result
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def binary_entropy(benign: int, malicious: int) -> float:
+    """:func:`entropy` of a two-class distribution, memoized.
+
+    Bit-equal to ``entropy(Counter(...))`` whichever class comes first:
+    a sum of two terms does not depend on their order.
+    """
+    total = benign + malicious
+    result = 0.0
+    for count in (benign, malicious):
+        if count > 0:
+            p = count / total
+            result -= p * math.log2(p)
+    return result
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _weight_log(size: int, total: int) -> float:
+    """One branch's ``weight * log2(weight)`` term of the split information."""
+    weight = size / total
+    return weight * math.log2(weight)
 
 
 def class_counts(instances: Sequence[Instance]) -> Counter:
@@ -73,6 +126,15 @@ def pessimistic_added_errors(
                         + z * z / (4.0 * coverage * coverage))
     ) / (1.0 + z * z / coverage)
     return upper * coverage - errors
+
+
+#: :func:`pessimistic_added_errors` memoized for integer leaf statistics.
+added_errors = functools.lru_cache(maxsize=1 << 16)(pessimistic_added_errors)
+
+
+def leaf_errors(benign: int, malicious: int) -> int:
+    """Training errors of a leaf predicting its majority class."""
+    return benign if malicious > benign else malicious
 
 
 # ----------------------------------------------------------------------
@@ -115,17 +177,6 @@ class Split:
             return str(value)
         return "<=" if float(value) <= self.threshold else ">"
 
-    def partition(
-        self, instances: Sequence[Instance]
-    ) -> Dict[str, List[Instance]]:
-        """Split instances into branches."""
-        branches: Dict[str, List[Instance]] = defaultdict(list)
-        for instance in instances:
-            branches[self.branch_key(instance.values[self.attribute])].append(
-                instance
-            )
-        return dict(branches)
-
 
 @dataclasses.dataclass
 class InnerNode:
@@ -152,6 +203,86 @@ Node = Union[InnerNode, Leaf]
 
 
 # ----------------------------------------------------------------------
+# The coded training matrix
+# ----------------------------------------------------------------------
+
+
+class EncodedInstances:
+    """A training set as int codes: the input of split selection.
+
+    ``columns[a]`` holds attribute ``a``'s codes (interned by ``str()``
+    through a :class:`~repro.core.columnar.FeatureCodec`), ``values[a]``
+    the string behind each code and ``key_rank[a]`` each code's rank in
+    string order.  NUMERIC attributes also get a float64 column in
+    ``numeric``.  ``malicious`` is the 0/1 class vector.
+    """
+
+    def __init__(
+        self, schema: Sequence[AttributeSpec], instances: Sequence[Instance]
+    ) -> None:
+        width = len(schema)
+        rows = [instance.values for instance in instances]
+        self.size = len(rows)
+        codec = FeatureCodec(width)
+        # (width, n): one contiguous code array per attribute.
+        self.columns = codec.encode_rows(rows).T.copy()
+        self.values = [codec.vocabulary(a).values for a in range(width)]
+        self.key_rank = [_string_ranks(values) for values in self.values]
+        self.numeric: Dict[int, np.ndarray] = {
+            a: np.array([float(row[a]) for row in rows], dtype=np.float64)
+            for a, spec in enumerate(schema)
+            if spec.kind == AttributeKind.NUMERIC
+        }
+        self.malicious = np.fromiter(
+            (instance.label == MALICIOUS_CLASS for instance in instances),
+            dtype=np.int8,
+            count=self.size,
+        )
+
+    def branch_key(self, split: Split, branch: int) -> str:
+        """The branch key (``Split.branch_key``) of one coded branch."""
+        if split.kind == AttributeKind.CATEGORICAL:
+            return self.values[split.attribute][branch]
+        return "<=" if branch == 0 else ">"
+
+    def branch_mask(self, split: Split, branch: int) -> np.ndarray:
+        """Bool over all rows: the row falls into ``branch`` of ``split``."""
+        if split.kind == AttributeKind.CATEGORICAL:
+            return self.columns[split.attribute] == branch
+        column = self.numeric[split.attribute]
+        if branch:
+            return column > split.threshold
+        return column <= split.threshold
+
+
+def _string_ranks(values: Sequence[str]) -> np.ndarray:
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[sorted(range(len(values)), key=values.__getitem__)] = np.arange(
+        len(values)
+    )
+    return ranks
+
+
+@dataclasses.dataclass
+class SplitChoice:
+    """An admissible split of one node, with its branches.
+
+    ``assign`` gives each of the node's rows its branch id (a code for a
+    categorical split, 0 for ``<=`` and 1 for ``>`` for a numeric one);
+    ``branches``, ``benign`` and ``malicious`` list the branch ids and
+    their class counts in first-seen order.
+    """
+
+    gain: float
+    ratio: float
+    split: Split
+    assign: np.ndarray
+    branches: np.ndarray
+    benign: np.ndarray
+    malicious: np.ndarray
+
+
+# ----------------------------------------------------------------------
 # Split selection
 # ----------------------------------------------------------------------
 
@@ -168,97 +299,133 @@ class SplitSelector:
         self.min_instances = min_instances
 
     def best_split(self, instances: Sequence[Instance]) -> Optional[Split]:
-        """The best admissible split, or ``None`` if no split helps.
+        """The best admissible split of ``instances``, or ``None``."""
+        data = EncodedInstances(self.schema, instances)
+        malicious = int(data.malicious.sum())
+        choice = self.choose(
+            data, np.arange(data.size), data.size - malicious, malicious
+        )
+        return None if choice is None else choice.split
+
+    def choose(
+        self,
+        data: EncodedInstances,
+        rows: np.ndarray,
+        benign: int,
+        malicious: int,
+    ) -> Optional[SplitChoice]:
+        """The best admissible split of ``rows``, or ``None`` if none helps.
 
         Implements C4.5's heuristic: among candidate splits with
         information gain at least the average gain of all positive-gain
         candidates, pick the one with the highest gain ratio.
         """
-        base_entropy = entropy(class_counts(instances))
-        if base_entropy == 0.0 or len(instances) < 2 * self.min_instances:
+        base_entropy = binary_entropy(benign, malicious)
+        total = benign + malicious
+        if base_entropy == 0.0 or total < 2 * self.min_instances:
             return None
-        candidates: List[Tuple[float, float, Split]] = []  # (gain, ratio, s)
+        labels = data.malicious[rows]
+        candidates: List[SplitChoice] = []
         for index, spec in enumerate(self.schema):
             if spec.kind == AttributeKind.CATEGORICAL:
                 candidate = self._categorical_candidate(
-                    instances, index, base_entropy
+                    data, rows, labels, index, base_entropy
                 )
             else:
                 candidate = self._numeric_candidate(
-                    instances, index, base_entropy
+                    data, rows, labels, malicious, index, base_entropy
                 )
             if candidate is not None:
                 candidates.append(candidate)
         if not candidates:
             return None
-        average_gain = sum(gain for gain, _, _ in candidates) / len(candidates)
+        average_gain = sum(c.gain for c in candidates) / len(candidates)
         admissible = [
-            (ratio, -gain, split)
-            for gain, ratio, split in candidates
-            if gain >= average_gain - 1e-12
+            c for c in candidates if c.gain >= average_gain - 1e-12
         ]
         if not admissible:
             return None
-        admissible.sort(key=lambda item: (-item[0], item[1], item[2].attribute))
-        return admissible[0][2]
+        admissible.sort(
+            key=lambda c: (-c.ratio, -c.gain, c.split.attribute)
+        )
+        return admissible[0]
 
     def _categorical_candidate(
         self,
-        instances: Sequence[Instance],
+        data: EncodedInstances,
+        rows: np.ndarray,
+        labels: np.ndarray,
         index: int,
         base_entropy: float,
-    ) -> Optional[Tuple[float, float, Split]]:
-        branch_counts: Dict[str, Counter] = defaultdict(Counter)
-        for instance in instances:
-            branch_counts[str(instance.values[index])][instance.label] += 1
-        if len(branch_counts) < 2:
+    ) -> Optional[SplitChoice]:
+        codes = data.columns[index][rows]
+        cardinality = len(data.values[index])
+        counts = np.bincount(
+            codes * 2 + labels, minlength=2 * cardinality
+        ).reshape(cardinality, 2)
+        sizes = counts[:, 0] + counts[:, 1]
+        present = sizes.nonzero()[0]
+        if present.shape[0] < 2:
             return None
-        total = len(instances)
-        big_enough = sum(
-            1 for counts in branch_counts.values()
-            if sum(counts.values()) >= self.min_instances
-        )
-        if big_enough < 2:
+        if np.count_nonzero(sizes[present] >= self.min_instances) < 2:
             return None
+        total = rows.shape[0]
+        first = np.full(cardinality, total, dtype=np.intp)
+        np.minimum.at(first, codes, np.arange(total))
+        branches = present[first[present].argsort()]
+        branch_counts = counts[branches]
+        # The scalar sums, branch by branch in first-seen order; a pure
+        # branch adds exactly 0.0 to the conditional entropy.
         conditional = 0.0
         split_info = 0.0
-        for counts in branch_counts.values():
-            weight = sum(counts.values()) / total
-            conditional += weight * entropy(counts)
-            split_info -= weight * math.log2(weight)
+        for b, m in branch_counts.tolist():
+            if b and m:
+                conditional += ((b + m) / total) * binary_entropy(b, m)
+            split_info -= _weight_log(b + m, total)
         gain = base_entropy - conditional
         if gain <= 1e-12 or split_info <= 1e-12:
             return None
-        return gain, gain / split_info, Split(index, AttributeKind.CATEGORICAL)
+        return SplitChoice(
+            gain=gain,
+            ratio=gain / split_info,
+            split=Split(index, AttributeKind.CATEGORICAL),
+            assign=codes,
+            branches=branches,
+            benign=branch_counts[:, 0],
+            malicious=branch_counts[:, 1],
+        )
 
     def _numeric_candidate(
         self,
-        instances: Sequence[Instance],
+        data: EncodedInstances,
+        rows: np.ndarray,
+        labels: np.ndarray,
+        malicious: int,
         index: int,
         base_entropy: float,
-    ) -> Optional[Tuple[float, float, Split]]:
-        pairs = sorted(
-            (float(instance.values[index]), instance.label)
-            for instance in instances
-        )
-        total = len(pairs)
-        left: Counter = Counter()
-        right = Counter(label for _, label in pairs)
+    ) -> Optional[SplitChoice]:
+        values = data.numeric[index][rows]
+        order = np.lexsort((labels, values))
+        ordered = values[order].tolist()
+        left_malicious = np.cumsum(labels[order]).tolist()
+        total = len(ordered)
         best: Optional[Tuple[float, float, float]] = None  # gain, ratio, thr
         for position in range(total - 1):
-            value, label = pairs[position]
-            left[label] += 1
-            right[label] -= 1
-            if pairs[position + 1][0] == value:
+            value = ordered[position]
+            if ordered[position + 1] == value:
                 continue
             left_total = position + 1
             right_total = total - left_total
             if left_total < self.min_instances or right_total < self.min_instances:
                 continue
+            left_mal = left_malicious[position]
+            right_mal = malicious - left_mal
             weight_left = left_total / total
             weight_right = right_total / total
             conditional = (
-                weight_left * entropy(left) + weight_right * entropy(right)
+                weight_left * binary_entropy(left_total - left_mal, left_mal)
+                + weight_right
+                * binary_entropy(right_total - right_mal, right_mal)
             )
             gain = base_entropy - conditional
             if gain <= 1e-12:
@@ -270,13 +437,24 @@ class SplitSelector:
             if split_info <= 1e-12:
                 continue
             ratio = gain / split_info
-            threshold = (value + pairs[position + 1][0]) / 2.0
             if best is None or ratio > best[1]:
+                threshold = (value + ordered[position + 1]) / 2.0
                 best = (gain, ratio, threshold)
         if best is None:
             return None
         gain, ratio, threshold = best
-        return gain, ratio, Split(index, AttributeKind.NUMERIC, threshold)
+        assign = (~(values <= threshold)).astype(np.intp)
+        counts = np.bincount(assign * 2 + labels, minlength=4)
+        branches = np.array([assign[0], 1 - assign[0]])
+        return SplitChoice(
+            gain=gain,
+            ratio=ratio,
+            split=Split(index, AttributeKind.NUMERIC, threshold),
+            assign=assign,
+            branches=branches,
+            benign=counts[2 * branches],
+            malicious=counts[2 * branches + 1],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +467,20 @@ def make_leaf(instances: Sequence[Instance], developed: bool = True) -> Leaf:
     counts = class_counts(instances)
     prediction = max(sorted(counts), key=lambda label: counts[label])
     return Leaf(prediction=prediction, counts=counts, developed=developed)
+
+
+def _counts(benign: int, malicious: int) -> Counter:
+    counts: Counter = Counter()
+    if benign:
+        counts[BENIGN_CLASS] = benign
+    if malicious:
+        counts[MALICIOUS_CLASS] = malicious
+    return counts
+
+
+def _leaf(benign: int, malicious: int) -> Leaf:
+    prediction = MALICIOUS_CLASS if malicious > benign else BENIGN_CLASS
+    return Leaf(prediction=prediction, counts=_counts(benign, malicious))
 
 
 def subtree_errors(node: Node, cf: float = DEFAULT_CF) -> float:
@@ -320,27 +512,43 @@ class DecisionTree:
         """Build and prune the tree."""
         if not instances:
             raise ValueError("cannot fit a tree on zero instances")
-        self.root = self._build(list(instances), depth=0)
+        data = EncodedInstances(self.schema, instances)
+        malicious = int(data.malicious.sum())
+        self.root = self._build(
+            data, np.arange(data.size), data.size - malicious, malicious, 0
+        )
         return self
 
-    def _build(self, instances: List[Instance], depth: int) -> Node:
+    def _build(
+        self,
+        data: EncodedInstances,
+        rows: np.ndarray,
+        benign: int,
+        malicious: int,
+        depth: int,
+    ) -> Node:
         if depth >= self.max_depth:
-            return make_leaf(instances)
-        split = self._selector.best_split(instances)
-        if split is None:
-            return make_leaf(instances)
-        branches = split.partition(instances)
-        if len(branches) < 2:
-            return make_leaf(instances)
+            return _leaf(benign, malicious)
+        choice = self._selector.choose(data, rows, benign, malicious)
+        if choice is None:
+            return _leaf(benign, malicious)
         children = {
-            key: self._build(subset, depth + 1)
-            for key, subset in branches.items()
+            data.branch_key(choice.split, branch): self._build(
+                data, rows[choice.assign == branch], b, m, depth + 1
+            )
+            for branch, b, m in zip(
+                choice.branches.tolist(),
+                choice.benign.tolist(),
+                choice.malicious.tolist(),
+            )
         }
         node = InnerNode(
-            split=split, children=children, counts=class_counts(instances)
+            split=choice.split,
+            children=children,
+            counts=_counts(benign, malicious),
         )
         # Subtree replacement: keep the subtree only if it beats a leaf.
-        leaf = make_leaf(instances)
+        leaf = _leaf(benign, malicious)
         leaf_errors = leaf.errors + pessimistic_added_errors(
             leaf.coverage, leaf.errors, self.cf
         )

@@ -20,9 +20,13 @@ Performance shape (this is the pipeline's batch-scoring hot path):
 * classification runs through the columnar fast path of
   :mod:`repro.core.columnar` (interned features, compiled rule masks,
   row dedup) -- the scalar walk stays as the reference implementation;
+* rule learning, the largest cost, runs PART on the int-coded matrix
+  (:mod:`repro.core.part`), not on instance objects;
 * the six ``(T_tr, T_ts)`` experiments are independent, so
   :func:`full_evaluation` can fan them out over a process pool
-  (``jobs``), with a sequential fallback producing identical rows;
+  (``jobs``), with a sequential fallback producing identical rows; fork
+  workers inherit the labeled dataset instead of unpickling it per pair
+  (:mod:`repro.sched.orchestrator`);
 * :func:`learn_rules` memoizes learned rule lists by the content digest
   of ``(labeled, alexa, month)``, so tau sweeps and ablation benches
   stop re-learning identical rule lists.

@@ -24,6 +24,14 @@ all of it behind a :class:`TaskSpec`/:class:`Orchestrator` API:
   submission blocks while the queue is at capacity and a completion
   callback drains one token per finished task.  Degradation is a live
   :meth:`~repro.serve.queues.BoundedQueue.resize` of that queue.
+* **Argument passing** -- under a ``fork`` context the stage's specs
+  sit in a module-level registry, under a per-stage token, while its
+  pool runs: the forked workers inherit them, and a submit carries only
+  ``(token, index)``.  A month-pair task's arguments are the whole
+  labeled dataset, which would otherwise be pickled in the parent and
+  unpickled in a worker for every task.  ``spawn`` and ``forkserver``
+  workers share no memory with the parent, so there the specs are
+  pickled as before.
 * **Telemetry** -- every pool task runs inside the
   :func:`repro.obs.worker.run_task` envelope, and the returned payloads
   are absorbed under the caller's fan-out span, so merged ``--trace``
@@ -38,12 +46,16 @@ results (always in spec order) plus how the stage actually ran.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..obs import metrics as obs_metrics
 from ..obs import resources, trace
@@ -69,8 +81,10 @@ DEFAULT_DEPTH_PER_WORKER = 2
 class TaskSpec:
     """One schedulable unit of work.
 
-    ``fn``/``args`` must be picklable (module-level function, plain
-    data) because they cross the process boundary.  ``tag`` is the
+    Under a fork pool the workers inherit the spec; elsewhere
+    ``fn``/``args`` cross the process boundary and must be picklable
+    (module-level function, plain data).  Results always come back
+    pickled.  ``tag`` is the
     opaque worker id stamped on the task's grafted span roots -- the
     shard index, month index or sweep seed at the built-in sites.
     """
@@ -119,6 +133,35 @@ class StageOutcome:
 
 
 _DEFAULT_BUDGET = StageBudget()
+
+#: Task lists of the running fork-pool stages, by stage token.  A forked
+#: worker finds its spec here in the memory it inherited, so the
+#: arguments are never pickled.
+_INHERITED: Dict[int, List[TaskSpec]] = {}
+_STAGE_TOKENS = itertools.count()
+
+
+@contextlib.contextmanager
+def _inheritance(specs: List[TaskSpec]) -> Iterator[int]:
+    """Register ``specs`` for forked workers while one pool runs.
+
+    Entered before the pool is created, so every worker it forks sees
+    the entry; removed when the pool is shut, even if a task raised.
+    """
+    token = next(_STAGE_TOKENS)
+    _INHERITED[token] = specs
+    try:
+        yield token
+    finally:
+        del _INHERITED[token]
+
+
+def _run_inherited(
+    config: obs_worker.ObsConfig, token: int, index: int
+) -> Tuple[Any, obs_worker.ObsPayload]:
+    """Pool entry point under fork: run one inherited spec."""
+    spec = _INHERITED[token][index]
+    return obs_worker.run_task(config, spec.tag, spec.fn, *spec.args)
 
 
 def set_default_budget(budget: Optional[StageBudget]) -> StageBudget:
@@ -259,9 +302,8 @@ class Orchestrator:
         from ..serve.queues import BoundedQueue
 
         obs = obs_worker.current_config()
-        mp_context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            mp_context = multiprocessing.get_context("fork")
+        inherit = "fork" in multiprocessing.get_all_start_methods()
+        mp_context = multiprocessing.get_context("fork") if inherit else None
         window = self._initial_window(workers, len(specs))
         window_initial = window
         degradations = 0
@@ -276,7 +318,10 @@ class Orchestrator:
                 pass
 
         futures = []
-        with ProcessPoolExecutor(
+        inheritance = (
+            _inheritance(specs) if inherit else contextlib.nullcontext()
+        )
+        with inheritance as token, ProcessPoolExecutor(
             max_workers=workers, mp_context=mp_context
         ) as pool:
             for index, spec in enumerate(specs):
@@ -289,9 +334,13 @@ class Orchestrator:
                         "In-flight window halvings under memory pressure",
                     ).inc()
                 admission.put(index)
-                future = pool.submit(
-                    obs_worker.run_task, obs, spec.tag, spec.fn, *spec.args
-                )
+                if token is None:
+                    future = pool.submit(
+                        obs_worker.run_task, obs, spec.tag, spec.fn,
+                        *spec.args,
+                    )
+                else:
+                    future = pool.submit(_run_inherited, obs, token, index)
                 future.add_done_callback(release)
                 futures.append(future)
             pairs = [future.result() for future in futures]

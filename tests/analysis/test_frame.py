@@ -19,6 +19,7 @@ from repro.analysis.frame import (
     SessionFrame,
     build_frame,
     clear_frame_cache,
+    presence_mask,
     session_frame,
 )
 from repro.core.columnar import Vocabulary
@@ -119,6 +120,28 @@ class TestVocabulary:
         assert vocab.version == 1
         vocab.intern("y")
         assert vocab.version == 2
+
+    def test_bulk_encode_matches_intern(self):
+        column = ["b", 3, "a", "b", "3", None, "a", "c"]
+        one_by_one = Vocabulary()
+        one_by_one.intern("a")
+        bulk = Vocabulary()
+        bulk.intern("a")
+        expected = [one_by_one.intern(value) for value in column]
+        codes = bulk.encode(column, len(column))
+        assert codes.dtype == np.int32
+        assert codes.tolist() == expected
+        assert list(bulk.values) == list(one_by_one.values)
+        assert bulk.encode([]).tolist() == []
+
+
+class TestPresenceMask:
+    def test_marks_present_codes_and_skips_sentinels(self):
+        codes = np.array([3, -1, 0, 3, -1], dtype=np.int32)
+        assert presence_mask(codes, 5).tolist() == [
+            True, False, False, True, False,
+        ]
+        assert presence_mask(codes[:0], 2).tolist() == [False, False]
 
 
 class TestBuildFrame:
